@@ -3,7 +3,6 @@ phase-change tracking, and the §7 hardware-sampling alternative."""
 
 from repro.harness.convergence import compare_convergence, phase_change_study
 from repro.harness.runner import measure_baseline
-from repro.profiling.exhaustive import ExhaustiveProfiler
 from repro.profiling.hardware import HardwareCallSampler
 from repro.profiling.metrics import accuracy
 from repro.vm.config import jikes_config
@@ -60,15 +59,13 @@ def test_hardware_sampling_alternative(benchmark):
             vm = Interpreter(
                 program, config, jit_only_cache(program, config.cost_model, 0)
             )
-            truth = ExhaustiveProfiler()
-            truth.install(vm)
             sampler = HardwareCallSampler(period=101, max_skid=4, jitter=13)
             sampler.install(vm)
             vm.run()
             rows.append(
                 (
                     name,
-                    accuracy(sampler.dcg, truth.dcg),
+                    accuracy(sampler.dcg, baseline.perfect_dcg),
                     100.0 * (vm.time - baseline.time) / baseline.time,
                 )
             )

@@ -18,14 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.benchsuite.suite import program_for
-from repro.harness.runner import (
-    measure_baseline,
-    measure_profiler,
-    run_steady_state,
-)
+from repro.harness.runner import measure_profiler, run_steady_state
 from repro.profiling.cbs import CBSProfiler
 from repro.profiling.cct import context_overlap
-from repro.profiling.exhaustive import ExhaustiveProfiler
 from repro.profiling.timer_sampler import TimerProfiler
 from repro.adaptive.modes import jit_only_cache
 from repro.inlining.new_inliner import NewJikesInliner
@@ -157,7 +152,6 @@ def context_sensitivity_cost(
     the deeper walk buys.
     """
     points = []
-    baseline = measure_baseline(name, size)
     for depth in depths:
         profiler = CBSProfiler(stride=3, samples_per_tick=16, context_depth=depth)
         run = measure_profiler(name, size, profiler)
@@ -170,7 +164,6 @@ def context_sensitivity_cost(
                 f"depth={depth}", run.accuracy, run.overhead_percent, float(contexts)
             )
         )
-    del baseline
     return points
 
 
@@ -190,8 +183,6 @@ def context_profile_agreement(
             stride=3, samples_per_tick=16, context_depth=depth, seed=seed
         )
         vm.attach_profiler(profiler)
-        perfect = ExhaustiveProfiler()
-        perfect.install(vm)
         vm.run()
         profiles.append(profiler.cct.context_profile())
     return context_overlap(profiles[0], profiles[1])

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.profiling.dcg import DCG
+from repro.vm.yieldpoint import YP_NONE
 
 #: Virtual cost of one counter update in instrumented dispatch code.
 INSTRUMENTATION_COST = 6
@@ -29,6 +30,18 @@ class ExhaustiveProfiler:
         self.method_samples: Counter = Counter()
         self.charge_costs = charge_costs
         self._vm = None
+
+    def attach(self, vm) -> None:
+        """Profiler-slot entry point (``vm.attach_profiler``), so the
+        oracle can stand in wherever a sampling profiler is named: it
+        installs the call observer and ignores ticks and yieldpoints."""
+        self.install(vm)
+
+    def handle_timer(self, vm) -> None:
+        pass
+
+    def handle_yieldpoint(self, vm, kind: int) -> None:
+        vm.yieldpoint_flag = YP_NONE
 
     def install(self, vm) -> None:
         """Attach to ``vm``'s call-observer hook (not the profiler slot —

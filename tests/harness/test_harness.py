@@ -1,8 +1,12 @@
 """Harness tests: runners, tables, figures on reduced inputs."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.benchsuite.suite import benchmark_names
 from repro.harness import runner
+from repro.harness.parallel import PROFILER_FACTORIES, SweepCell, run_cell
 from repro.harness.figure1 import compute_figure1, render_figure1
 from repro.harness.figure5 import compute_figure5, render_figure5
 from repro.harness.report import render_grid, render_table
@@ -11,6 +15,7 @@ from repro.harness.table2 import compute_table2, render_table2
 from repro.harness.table3 import compute_table3, render_table3
 from repro.profiling.cbs import CBSProfiler
 from repro.profiling.timer_sampler import TimerProfiler
+from tests.helpers import SAMPLING_PROFILERS, observed_calls
 
 QUICK = ["jess", "mtrt"]
 
@@ -29,6 +34,14 @@ def test_measure_baseline_cached():
     assert first.perfect_dcg.total_weight > 0
 
 
+def test_perfect_dcg_collected_once_per_program():
+    jikes = runner.measure_baseline("jess", "tiny", "jikes")
+    j9 = runner.measure_baseline("jess", "tiny", "j9")
+    assert j9.perfect_dcg is jikes.perfect_dcg
+    runner.clear_baseline_cache()
+    assert runner.measure_baseline("jess", "tiny", "j9").perfect_dcg is not jikes.perfect_dcg
+
+
 def test_measure_profiler_reports_overhead_and_accuracy():
     run = runner.measure_profiler(
         "jess", "tiny", CBSProfiler(stride=3, samples_per_tick=16)
@@ -39,10 +52,45 @@ def test_measure_profiler_reports_overhead_and_accuracy():
 
 
 def test_profiled_run_perfect_dcg_matches_baseline():
-    baseline = runner.measure_baseline("jess", "tiny")
-    run = runner.measure_profiler("jess", "tiny", TimerProfiler())
-    # Profiling never changes the call sequence.
-    assert run.perfect_dcg.edges() == baseline.perfect_dcg.edges()
+    # The harness observes one unprofiled baseline per program and scores
+    # every VM's profiled runs against it, so that cached DCG must be what
+    # an independent observer sees beside each sampling profiler, on both
+    # VMs.
+    for name in benchmark_names():
+        run = runner.measure_profiler(name, "tiny", TimerProfiler())
+        truth = list(run.perfect_dcg.edges().items())
+        for vm_name in ("jikes", "j9"):
+            for profiler in SAMPLING_PROFILERS:
+                observed = observed_calls(
+                    name, "tiny", vm_name, PROFILER_FACTORIES[profiler]()
+                )
+                assert observed == truth, (name, vm_name, profiler)
+
+
+def test_exhaustive_cell_scores_perfect_accuracy():
+    result = run_cell(SweepCell(benchmark="jess", size="tiny", profiler="exhaustive"))
+    assert result.accuracy == 100.0
+    assert result.overhead_percent == 0.0
+
+
+def test_run_steady_state_leaves_config_unchanged():
+    from repro.adaptive.controller import AdaptiveConfig
+    from repro.benchsuite.suite import program_for
+    from repro.inlining.new_inliner import NewJikesInliner
+
+    config = AdaptiveConfig()
+    before = replace(config)
+    runner.run_steady_state(
+        "jess",
+        "tiny",
+        "jikes",
+        NewJikesInliner(program_for("jess", "tiny")),
+        iterations=2,
+        steady_window=1,
+        use_profile=False,
+        adaptive_config=config,
+    )
+    assert config == before
 
 
 def test_run_steady_state():
