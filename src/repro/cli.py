@@ -505,6 +505,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import signal
     import time
 
     from repro.fleet.repository import RepositoryError
@@ -539,6 +540,15 @@ def _cmd_serve(args) -> int:
         started = time.monotonic_ns()
         tracer = Tracer(clock=lambda: (time.monotonic_ns() - started) // 1000)
 
+    async def serve_until_terminated(serve_coro):
+        # SIGTERM (``kill``, service managers) stops as cleanly as Ctrl-C:
+        # cancelling only this task runs the service's own shutdown, which
+        # compacts its logs so every ``<fp>.json`` is current.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+        await serve_coro
+
     try:
         if args.workers > 1:
             from repro.fleet.shard import run_sharded_service
@@ -550,7 +560,6 @@ def _cmd_serve(args) -> int:
                 port=args.port,
                 decay=args.decay,
                 max_edges=args.max_edges,
-                persist_every=args.persist_every,
                 rate=args.rate,
                 burst=args.burst,
                 ready=ready,
@@ -565,7 +574,6 @@ def _cmd_serve(args) -> int:
                 port=args.port,
                 decay=args.decay,
                 max_edges=args.max_edges,
-                persist_every=args.persist_every,
                 ready=ready,
                 http_port=args.http_port,
                 http_ready=http_ready if args.http_port is not None else None,
@@ -574,8 +582,8 @@ def _cmd_serve(args) -> int:
                 rate=args.rate,
                 burst=args.burst,
             )
-        asyncio.run(serve_coro)
-    except KeyboardInterrupt:
+        asyncio.run(serve_until_terminated(serve_coro))
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("-- fleet service stopped", file=sys.stderr)
     except (OSError, ValueError, RepositoryError) as error:
         raise SystemExit(f"cannot start fleet service: {error}")
@@ -1201,13 +1209,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="prune persisted snapshots to the N heaviest edges",
-    )
-    serve.add_argument(
-        "--persist-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="write a snapshot every N merges per program (default 1)",
     )
     serve.add_argument(
         "--workers",

@@ -6,7 +6,8 @@ enables.  Many concurrent VM runs publish DCG deltas (non-blocking, via
 :class:`~repro.fleet.client.FleetPublisher`) to one aggregation service
 (:class:`~repro.fleet.service.FleetService`, ``repro-mini serve``) that
 merges them per program fingerprint with order-independent weighted
-decay and persists crash-safe snapshots.  A later run warm-starts its
+decay, logging every accepted delta before its ack and compacting the
+log into snapshots.  A later run warm-starts its
 adaptive optimizer from the aggregate (``repro-mini run --publish ADDR
 --warm-start``), so short-running programs — the paper's motivating
 failure mode for sampled profiles — reach full optimization without

@@ -11,11 +11,11 @@ no float slack).
 Two service topologies run back to back, each in its own process with
 its own fresh repository root:
 
-* ``single`` — today's default ``serve``: one asyncio process, eager
-  inline merge, synchronous snapshot write per publish
-  (``persist_every=1``).  This is the baseline the ISSUE names.
+* ``single`` — the default ``serve``: one asyncio process, eager
+  inline merge, each delta appended to its program's log before the
+  ack.
 * ``sharded`` — ``serve --workers N``: the routing frontend over N
-  coalescing worker processes with staged acks and off-loop persists.
+  coalescing worker processes with staged (and logged) acks.
 
 The summary's headline figure is ``scaling_ratio`` (sharded throughput
 over single throughput) and ``p99_ratio`` (single p99 over sharded
@@ -26,7 +26,7 @@ the trajectory but never compared across machines.
 
 Throughput is end-to-end honest: the clock for a mode stops only after
 a ``flush`` barrier confirms every staged delta is merged and every
-dirty aggregate persisted, so coalescing cannot win by deferring work
+program's log compacted into its snapshot, so coalescing cannot win by deferring work
 past the finish line.
 """
 
@@ -56,7 +56,7 @@ from repro.fleet.protocol import (
 SCALING_FLOORS = {2: 1.5, 4: 3.0}
 
 #: Hard floor on single-p99 / sharded-p99: staged acks must not be
-#: slower than eager merge-and-persist acks at the tail.
+#: slower than eager merge-and-log acks at the tail.
 P99_RATIO_FLOOR = 1.0
 
 SERVER_START_TIMEOUT = 60.0
@@ -112,27 +112,23 @@ def build_workload(
 # -- server processes -----------------------------------------------------------------
 
 
-def _server_main(conn, root: str, workers: int, coalesce: bool, persist_every: int):
+def _server_main(conn, root: str, workers: int, coalesce: bool):
     """Entry point of the benched service process (spawn-safe)."""
-    asyncio.run(_server_async(conn, root, workers, coalesce, persist_every))
+    asyncio.run(_server_async(conn, root, workers, coalesce))
 
 
-async def _server_async(conn, root, workers, coalesce, persist_every) -> None:
+async def _server_async(conn, root, workers, coalesce) -> None:
     def ready(address):
         conn.send(address)
 
     if workers > 1:
         from repro.fleet.shard import run_sharded_service
 
-        serve = run_sharded_service(
-            root, workers, persist_every=persist_every, ready=ready
-        )
+        serve = run_sharded_service(root, workers, ready=ready)
     else:
         from repro.fleet.service import run_service
 
-        serve = run_service(
-            root, persist_every=persist_every, coalesce=coalesce, ready=ready
-        )
+        serve = run_service(root, coalesce=coalesce, ready=ready)
     task = asyncio.ensure_future(serve)
     # Block a worker thread on the pipe; the parent's "stop" unblocks it.
     await asyncio.to_thread(conn.recv)
@@ -147,7 +143,7 @@ async def _server_async(conn, root, workers, coalesce, persist_every) -> None:
 class _ServerProcess:
     """A benched fleet service in its own process, stopped in-band."""
 
-    def __init__(self, root: str, workers: int, coalesce: bool, persist_every: int):
+    def __init__(self, root: str, workers: int, coalesce: bool):
         ctx = multiprocessing.get_context("spawn")
         self._conn, child_conn = ctx.Pipe()
         # NOT daemonic: the sharded frontend spawns its own worker
@@ -155,7 +151,7 @@ class _ServerProcess:
         # stop() joins with a terminate() backstop instead.
         self.process = ctx.Process(
             target=_server_main,
-            args=(child_conn, root, workers, coalesce, persist_every),
+            args=(child_conn, root, workers, coalesce),
             name="fleet-bench-server",
         )
         self.process.start()
@@ -267,8 +263,8 @@ def _run_mode(
         worker.join()
     publish_seconds = time.perf_counter() - started
 
-    # The end-to-end barrier: everything staged must merge and persist
-    # before the clock stops.
+    # The end-to-end barrier: everything staged must merge and every
+    # log compact into its snapshot before the clock stops.
     with socket.create_connection(address, timeout=60.0) as sock:
         sock.settimeout(60.0)
         send_message(sock, flush_message())
@@ -340,9 +336,7 @@ def collect_summary(
             ("sharded", workers, True),
         ):
             root = f"{tmp}/{name}"
-            server = _ServerProcess(
-                root, mode_workers, coalesce, persist_every=1
-            )
+            server = _ServerProcess(root, mode_workers, coalesce)
             try:
                 result = _run_mode(
                     server.address, per_publisher, expected, fingerprints, jobs

@@ -128,34 +128,9 @@ class AggregateProfile:
         rows likewise.  Raises :class:`MergeError` on malformed entries
         without mutating the aggregate.
         """
-        validated = [
-            (key, weight)
-            for key, weight in (
-                self._validate_row(entry, "edge") for entry in edges
-            )
-            if weight
-        ]
-        validated_receivers = []
-        if receivers is not None:
-            validated_receivers = [
-                (key, count)
-                for key, count in (
-                    self._validate_row(entry, "receiver row")
-                    for entry in receivers
-                )
-                if count
-            ]
-        validated_paths = []
-        if paths is not None:
-            validated_paths = [
-                (key, count)
-                for key, count in (
-                    self._validate_path_row(entry, "path row")
-                    for entry in paths
-                )
-                if count
-            ]
-
+        validated, validated_receivers, validated_paths = self.validate_delta(
+            edges, receivers, paths
+        )
         scale = self._rebase(int(epoch))
         for key, weight in validated:
             self._edges[key] = self._edges.get(key, 0.0) + weight * scale
@@ -195,23 +170,34 @@ class AggregateProfile:
         for run_id in run_ids:
             self._run_ids.add(str(run_id))
 
-    def clone_for_snapshot(self) -> "AggregateProfile":
-        """A detached copy safe to serialize off the event loop.
-
-        Shallow dict copies (keys are tuples, values are floats) taken
-        while the loop owns the aggregate; the clone never changes, so
-        a writer thread can sort and serialize it while merging
-        continues on the original.
-        """
-        clone = AggregateProfile(self.fingerprint, self.policy)
-        clone.epoch = self.epoch
-        clone.publishes = self.publishes
-        clone._edges = dict(self._edges)
-        clone._receivers = dict(self._receivers)
-        clone._paths = dict(self._paths)
-        clone._run_ids = set(self._run_ids)
-        clone._base_runs = self._base_runs
-        return clone
+    @classmethod
+    def validate_delta(
+        cls, edges: list, receivers: list | None = None, paths: list | None = None
+    ) -> tuple[list, list, list]:
+        """Validate a delta's wire rows into ``(key, weight)`` pairs,
+        dropping zero weights: ``(edges, receivers, paths)``.  Raises
+        :class:`MergeError` on the first malformed row."""
+        return (
+            [
+                (key, weight)
+                for key, weight in (cls._validate_row(entry, "edge") for entry in edges)
+                if weight
+            ],
+            [
+                (key, count)
+                for key, count in (
+                    cls._validate_row(entry, "receiver row") for entry in receivers or ()
+                )
+                if count
+            ],
+            [
+                (key, count)
+                for key, count in (
+                    cls._validate_path_row(entry, "path row") for entry in paths or ()
+                )
+                if count
+            ],
+        )
 
     @staticmethod
     def _validate_row(entry, what: str) -> tuple[tuple, float]:
@@ -266,6 +252,18 @@ class AggregateProfile:
     def runs(self) -> int:
         """Distinct runs merged (including those baked into a loaded snapshot)."""
         return self._base_runs + len(self._run_ids)
+
+    def run_ids(self) -> frozenset[str]:
+        """The ids of the runs :attr:`runs` counts by name (runs folded
+        into a loaded snapshot count only by number)."""
+        return frozenset(self._run_ids)
+
+    def count_runs_as_seen(self, run_ids) -> None:
+        """Name runs that a loaded snapshot already counts by number, so
+        a later delta from one of them does not count it again."""
+        run_ids = set(run_ids)
+        self._base_runs = max(0, self._base_runs - len(run_ids))
+        self._run_ids |= run_ids
 
     @property
     def total_weight(self) -> float:

@@ -38,9 +38,10 @@ Client → server:
 
 * ``fetch`` — request the aggregated snapshot for a fingerprint.
 * ``stats`` — request server-wide counters.
-* ``flush`` — force staged deltas to merge and dirty aggregates to
-  persist before the reply (used by benchmarks and tests that need a
-  read-your-writes barrier against a coalescing service).
+* ``flush`` — force staged deltas to merge and every program's log to
+  compact into its snapshot before the reply (used by benchmarks and
+  tests that need a barrier against a coalescing service, and before
+  offline reads of ``<fp>.json``).
 * ``status`` — request the full ``/status`` document over the framed
   protocol (what the sharded frontend uses to poll its workers).
 * ``shutdown`` — ask the service to stop serving (honored only by

@@ -6,35 +6,37 @@ connection is a sequence of frames (see :mod:`repro.fleet.protocol`);
 :class:`~repro.fleet.merge.AggregateProfile` instances (loaded lazily
 from the repository).
 
+Every accepted delta is first written to its program's append log in
+the :class:`~repro.fleet.repository.ProfileRepository`; only then is it
+acknowledged.  An ack therefore means *logged*: the delta survives the
+death of the service process (not a power loss — there is no fsync),
+and a restarted service folds it back in when it loads the program.
+Snapshots are compactions of the log, written when a program's log
+outgrows a fixed multiple of its snapshot, on a ``flush`` message, and
+on a clean stop — so after a ``flush`` every ``<fp>.json`` is current
+for offline readers.
+
 The service runs in one of two publish modes:
 
-* **Eager** (the default): each delta is validated and merged inline
-  before its ``ack``, and snapshots persist synchronously every
-  ``persist_every`` merges per program.  Acks carry post-merge totals
-  — the semantics every pre-sharding client observed.
+* **Eager** (the default): each delta is validated, merged inline and
+  logged before its ``ack``.  Acks carry post-merge totals — the
+  semantics every pre-sharding client observed.
 * **Coalescing** (``coalesce=True``, what ``serve --workers N`` shard
-  workers and ``serve --coalesce`` run): the accept path only
-  validates the delta, appends it to a bounded
-  :class:`~repro.fleet.staging.StagingBuffer`, and acks immediately
-  (``staged: true``).  A background drain task later coalesces each
+  workers and ``serve --coalesce`` run): the accept path validates and
+  logs the delta, appends it to a bounded
+  :class:`~repro.fleet.staging.StagingBuffer`, and acks (``staged:
+  true``).  A background drain task later coalesces each
   fingerprint's staged deltas into per-epoch lumps
   (:func:`~repro.fleet.merge.coalesce_validated`) and merges them in
   one pass — by merge commutativity the eventual aggregate is
   identical to one-at-a-time merging, so early acks are safe.  A
   ``fetch`` drains that fingerprint first (read-your-writes) and a
-  ``flush`` is a full drain-and-persist barrier.
+  ``flush`` is a full drain-and-compact barrier.
 
 Backpressure: with a per-client rate limit configured (``rate``), or
 when the staging buffer hits its high-water mark, a publish is answered
 with ``busy`` and a ``retry_after`` the client honors with backoff —
 load never silently drops deltas and never kills connections.
-
-Snapshot persistence for the coalescing path — and for every
-end-of-connection / shutdown flush (see :meth:`FleetService.drain`) —
-happens off the event loop: aggregates are cloned on-loop
-(:meth:`~repro.fleet.merge.AggregateProfile.clone_for_snapshot`) and
-serialized + atomically written in a worker thread, so a large
-repository flush cannot stall concurrent publishes.
 
 Because merging is synchronous (no ``await`` between taking deltas and
 folding them in) the event loop serializes merges per process, and
@@ -91,7 +93,6 @@ class FleetService:
     def __init__(
         self,
         repository: ProfileRepository,
-        persist_every: int = 1,
         telemetry=None,
         registry: MetricsRegistry | None = None,
         coalesce: bool = False,
@@ -102,10 +103,7 @@ class FleetService:
         allow_shutdown: bool = False,
         shard_id: int | None = None,
     ):
-        if persist_every < 1:
-            raise ValueError("persist_every must be >= 1")
         self.repository = repository
-        self.persist_every = persist_every
         self.telemetry = telemetry
         self.aggregates: dict[str, AggregateProfile] = {}
         self.merges = 0
@@ -114,7 +112,10 @@ class FleetService:
         self.connections = 0
         #: Per-run publish accounting, keyed by the client's ``run_id``.
         self.clients: dict[str, dict] = {}
-        self._unpersisted: dict[str, int] = {}
+        #: Every program on disk at start or logged since.
+        self._programs: set[str] = set(repository.fingerprints())
+        #: Programs whose log holds deltas their snapshot does not.
+        self._dirty: set[str] = set()
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
 
@@ -124,11 +125,8 @@ class FleetService:
         self.shard_id = shard_id
         self.staging = StagingBuffer(max_staged_rows)
         self.limiter = RateLimiter(rate, burst) if rate else None
-        #: Fingerprints merged but not yet snapshotted by the writer.
-        self._dirty: set[str] = set()
         self._drain_task: asyncio.Task | None = None
         self._drain_wakeup = asyncio.Event()
-        self._persist_lock = asyncio.Lock()
         #: Set by a permitted ``shutdown`` message; the shard worker
         #: main loop waits on it instead of ``serve_forever``.
         self.shutdown_requested = asyncio.Event()
@@ -160,6 +158,7 @@ class FleetService:
         self._m_programs = self.registry.gauge(
             "fleet.programs", "distinct program fingerprints aggregated"
         )
+        self._m_programs.set(len(self._programs))
         self._m_delta_edges = self.registry.histogram(
             "fleet.delta_edges", DELTA_EDGE_BUCKETS, "edges per published delta"
         )
@@ -179,10 +178,10 @@ class FleetService:
             "fleet.busy", "publishes rejected with busy backpressure"
         )
         self._m_persist_writes = self.registry.counter(
-            "fleet.persist_writes", "snapshot files written"
+            "fleet.persist_writes", "snapshots written by log compactions"
         )
         self._m_persist_pending = self.registry.gauge(
-            "fleet.persist_pending", "dirty aggregates awaiting a snapshot write"
+            "fleet.persist_pending", "programs with logged deltas not yet compacted"
         )
 
     # -- lifecycle ----------------------------------------------------------------
@@ -208,50 +207,49 @@ class FleetService:
             except asyncio.CancelledError:
                 pass
             self._drain_task = None
-        await self.drain()
+        self.flush()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
         async with self._server:
             await self._server.serve_forever()
 
-    def persist_all(self) -> None:
-        """Synchronously flush every dirty aggregate to the repository.
+    def flush(self) -> None:
+        """Merge everything staged and compact every dirty program.
 
-        The legacy blocking flush — still correct, but the serving path
-        uses :meth:`drain`, which moves the atomic writes off the event
-        loop.  Coalesced-but-unstaged deltas are merged first so a sync
-        flush can never lose staged state.
+        The barrier after which each ``<fp>.json`` this service wrote
+        to is current and its log is gone.  Used on ``flush`` messages
+        and at a clean stop.
         """
         if self.coalesce:
             self._merge_staged()
-        for fingerprint in list(self._dirty):
-            self._unpersisted[fingerprint] = max(
-                1, self._unpersisted.get(fingerprint, 0)
-            )
-        self._dirty.clear()
-        for fingerprint, pending in list(self._unpersisted.items()):
-            if pending:
-                self.repository.store(self.aggregates[fingerprint])
-                self._m_persist_writes.inc()
-                self._unpersisted[fingerprint] = 0
-        self._m_persist_pending.set(0)
+        for fingerprint in sorted(self._dirty):
+            self._compact(fingerprint)
 
-    async def drain(self) -> None:
-        """Merge everything staged and persist every dirty aggregate.
-
-        The read-your-writes / durability barrier: serialization and
-        the atomic file writes run in a worker thread on a detached
-        clone, so the event loop keeps serving while a large repository
-        flushes.  Used at connection close, on ``flush`` messages, and
-        at shutdown.
-        """
+    def _compact(self, fingerprint: str) -> None:
+        """Fold a program's log into a fresh snapshot.  A failed write
+        leaves the program dirty; its log still holds every delta."""
         if self.coalesce:
-            self._merge_staged()
-        for fingerprint, pending in self._unpersisted.items():
-            if pending:
-                self._dirty.add(fingerprint)
-        await self._write_dirty()
+            self._merge_one(fingerprint)
+        try:
+            self.repository.store(self.aggregates[fingerprint])
+        except OSError:
+            return
+        self._m_persist_writes.inc()
+        self._dirty.discard(fingerprint)
+        self._m_persist_pending.set(len(self._dirty))
+
+    def _log(self, fingerprint: str, epoch: int, run_id, edges, receivers, paths) -> bool:
+        """Append an accepted delta to its program's log; returns whether
+        the log is due for compaction.  Raises ``OSError`` if the record
+        could not be written."""
+        due = self.repository.append(fingerprint, epoch, run_id, edges, receivers, paths)
+        if fingerprint not in self._programs:
+            self._programs.add(fingerprint)
+            self._m_programs.set(len(self._programs))
+        self._dirty.add(fingerprint)
+        self._m_persist_pending.set(len(self._dirty))
+        return due
 
     # -- coalesced draining -------------------------------------------------------
 
@@ -259,7 +257,7 @@ class FleetService:
         self._drain_wakeup.set()
 
     async def _drain_loop(self) -> None:
-        """Background task: wake on staged deltas, merge, persist.
+        """Background task: wake on staged deltas and merge them.
 
         The short sleep after a wakeup is the coalescing window — it
         lets a burst of publishes accumulate so one lump absorbs many
@@ -271,7 +269,6 @@ class FleetService:
                 await asyncio.sleep(self.drain_interval)
             self._drain_wakeup.clear()
             self._merge_staged()
-            await self._write_dirty()
 
     def _merge_staged(self) -> None:
         """Coalesce and merge every staged delta (synchronous, on-loop)."""
@@ -288,47 +285,17 @@ class FleetService:
             self._m_queue_depth.set(len(self.staging))
 
     def _merge_lump(self, fingerprint: str, deltas, run_ids, count: int) -> None:
-        try:
-            aggregate = self._aggregate_for(fingerprint)
-        except RepositoryError:
-            # The repository refused the fingerprint (e.g. unsafe name
-            # that slipped past staging); count the loss explicitly.
-            self.publishes_rejected += count
-            self._m_rejected.inc(count)
-            return
+        aggregate = self.aggregates[fingerprint]
         aggregate.merge_coalesced(
             coalesce_validated(deltas), run_ids=run_ids, publishes=count
         )
         self.merges += count
         self._m_lumps.inc()
         self._m_coalesced.inc(count)
-        self._unpersisted[fingerprint] = self._unpersisted.get(fingerprint, 0) + count
-        self._dirty.add(fingerprint)
-        self._m_persist_pending.set(len(self._dirty))
         if self.telemetry is not None:
             self.telemetry.on_fleet_merge(
                 fingerprint, count, aggregate.runs, aggregate.total_weight
             )
-
-    async def _write_dirty(self) -> None:
-        """Snapshot every dirty aggregate off the event loop.
-
-        Clones are taken on-loop (cheap shallow dict copies) and the
-        sort/serialize/atomic-rename runs in a thread; the lock keeps
-        concurrent drains (connection close vs. the drain task) from
-        writing the same fingerprint twice in flight.
-        """
-        async with self._persist_lock:
-            while self._dirty:
-                fingerprint = self._dirty.pop()
-                self._m_persist_pending.set(len(self._dirty))
-                aggregate = self.aggregates.get(fingerprint)
-                if aggregate is None:
-                    continue
-                clone = aggregate.clone_for_snapshot()
-                await asyncio.to_thread(self.repository.store, clone)
-                self._m_persist_writes.inc()
-                self._unpersisted[fingerprint] = 0
 
     # -- connection handling ------------------------------------------------------
 
@@ -356,10 +323,7 @@ class FleetService:
             # handlers mid-read; exit quietly — stop() already drained.
             pass
         finally:
-            # A dead client must not leave merged-but-unpersisted state;
-            # the writes themselves run off-loop (see drain()).
             self._m_active.dec()
-            await self.drain()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -375,7 +339,7 @@ class FleetService:
         if kind == "stats":
             return self._on_stats()
         if kind == "flush":
-            await self.drain()
+            self.flush()
             return self._on_stats()
         if kind == "status":
             return {"v": 1, "type": "status", "status": self.status()}
@@ -395,7 +359,6 @@ class FleetService:
             if aggregate is None:
                 aggregate = AggregateProfile(fingerprint, self.repository.policy)
             self.aggregates[fingerprint] = aggregate
-            self._unpersisted.setdefault(fingerprint, 0)
         return aggregate
 
     def _reject(self, reason: str) -> dict:
@@ -469,17 +432,22 @@ class FleetService:
             )
         except MergeError as error:
             return self._reject(str(error))
+        try:
+            due = self._log(
+                fingerprint, epoch, message.get("run_id"), edges, receivers, paths
+            )
+        except OSError as error:
+            # Unlogged, so unacked: drop the merged aggregate and reload
+            # it from the repository, which never saw this delta.
+            del self.aggregates[fingerprint]
+            return self._reject(f"cannot log delta: {error}")
+        if due:
+            self._compact(fingerprint)
         self.merges += 1
         self._m_publishes.inc()
         self._m_edges.inc(len(edges))
         self._m_delta_edges.observe(len(edges))
-        self._m_programs.set(len(set(self.aggregates) | set(self.repository.fingerprints())))
         self._account_client(message, len(edges), epoch)
-        self._unpersisted[fingerprint] = self._unpersisted.get(fingerprint, 0) + 1
-        if self._unpersisted[fingerprint] >= self.persist_every:
-            self.repository.store(aggregate)
-            self._m_persist_writes.inc()
-            self._unpersisted[fingerprint] = 0
         if self.telemetry is not None:
             self.telemetry.on_fleet_merge(
                 fingerprint,
@@ -494,13 +462,13 @@ class FleetService:
     def _on_publish_staged(
         self, message: dict, fingerprint: str, epoch: int, edges, receivers, paths
     ) -> dict:
-        """The coalescing accept path: admit, validate, stage, ack.
+        """The coalescing accept path: admit, validate, log, stage, ack.
 
-        Validation happens here — synchronously, so a malformed delta
-        is rejected in its own reply exactly like eager mode — but the
-        merge is deferred to the drain task.  Both backpressure checks
-        precede validation: a ``busy`` reply means the delta was *not*
-        staged and the client must retry it.
+        Validation and logging happen here — synchronously, so a
+        malformed delta is rejected in its own reply exactly like eager
+        mode — but the merge is deferred to the drain task.  Both
+        backpressure checks precede validation: a ``busy`` reply means
+        the delta was *not* logged and the client must retry it.
         """
         if self.limiter is not None:
             retry_after = self.limiter.check(message.get("run_id"))
@@ -514,31 +482,18 @@ class FleetService:
             self._m_busy.inc()
             return busy_message(0.05)
         try:
-            validated_edges = [
-                (key, weight)
-                for key, weight in (
-                    AggregateProfile._validate_row(entry, "edge") for entry in edges
-                )
-                if weight
-            ]
-            validated_receivers = [
-                (key, count)
-                for key, count in (
-                    AggregateProfile._validate_row(entry, "receiver row")
-                    for entry in receivers or ()
-                )
-                if count
-            ]
-            validated_paths = [
-                (key, count)
-                for key, count in (
-                    AggregateProfile._validate_path_row(entry, "path row")
-                    for entry in paths or ()
-                )
-                if count
-            ]
-        except MergeError as error:
+            self._aggregate_for(fingerprint)
+            validated_edges, validated_receivers, validated_paths = (
+                AggregateProfile.validate_delta(edges, receivers, paths)
+            )
+        except (RepositoryError, MergeError) as error:
             return self._reject(str(error))
+        try:
+            due = self._log(
+                fingerprint, epoch, message.get("run_id"), edges, receivers, paths
+            )
+        except OSError as error:
+            return self._reject(f"cannot log delta: {error}")
         depth = self.staging.stage(
             fingerprint,
             epoch,
@@ -553,7 +508,11 @@ class FleetService:
         self._m_delta_edges.observe(len(edges))
         self._m_queue_depth.set(depth)
         self._account_client(message, len(edges), epoch)
-        self._kick_drain()
+        if due:
+            self._compact(fingerprint)
+            depth = len(self.staging)
+        else:
+            self._kick_drain()
         return staged_ack_message(depth)
 
     def _on_fetch(self, message: dict) -> dict:
@@ -579,9 +538,7 @@ class FleetService:
         return {
             "v": 1,
             "type": "stats",
-            "programs": sorted(
-                set(self.aggregates) | set(self.repository.fingerprints())
-            ),
+            "programs": sorted(self._programs),
             "merges": self.merges,
             "rejected": self.publishes_rejected,
             "busy": self.busy_rejections,
@@ -602,7 +559,7 @@ class FleetService:
         already owns, so serving it cannot block or perturb merging.
         """
         programs = {}
-        for fingerprint in sorted(set(self.aggregates) | set(self.repository.fingerprints())):
+        for fingerprint in sorted(self._programs):
             aggregate = self.aggregates.get(fingerprint)
             if aggregate is None:
                 programs[fingerprint] = {"loaded": False}
@@ -658,7 +615,6 @@ async def run_service(
     port: int = 0,
     decay: float = 1.0,
     max_edges: int | None = None,
-    persist_every: int = 1,
     ready=None,
     http_port: int | None = None,
     http_ready=None,
@@ -687,7 +643,6 @@ async def run_service(
     )
     service = FleetService(
         repository,
-        persist_every=persist_every,
         telemetry=telemetry,
         coalesce=coalesce,
         rate=rate,

@@ -24,7 +24,7 @@ with per-worker queue depth, coalesce ratio, and busy rejections —
 the rows ``repro-mini top`` and ``report --json`` render.
 
 All workers share one repository root.  That is safe for the same
-reason routing is: a fingerprint's snapshot file is only ever written
+reason routing is: a fingerprint's log and snapshot are only ever written
 by the one shard that owns it.
 
 Workers are spawned (not forked — the parent runs an event loop) and
@@ -71,23 +71,19 @@ def _worker_main(
     conn,
     decay: float,
     max_edges: int | None,
-    persist_every: int,
     rate: float | None,
     burst: float | None,
 ) -> None:
     """Entry point of one shard worker process (spawn-safe, module level)."""
     asyncio.run(
-        _worker_async(index, root, conn, decay, max_edges, persist_every, rate, burst)
+        _worker_async(index, root, conn, decay, max_edges, rate, burst)
     )
 
 
-async def _worker_async(
-    index, root, conn, decay, max_edges, persist_every, rate, burst
-) -> None:
+async def _worker_async(index, root, conn, decay, max_edges, rate, burst) -> None:
     repository = ProfileRepository(root, MergePolicy(decay=decay, max_edges=max_edges))
     service = FleetService(
         repository,
-        persist_every=persist_every,
         coalesce=True,
         rate=rate,
         burst=burst,
@@ -474,7 +470,6 @@ async def start_sharded_fleet(
     port: int = 0,
     decay: float = 1.0,
     max_edges: int | None = None,
-    persist_every: int = 1,
     rate: float | None = None,
     burst: float | None = None,
     telemetry=None,
@@ -497,7 +492,6 @@ async def start_sharded_fleet(
                     child_conn,
                     decay,
                     max_edges,
-                    persist_every,
                     rate,
                     burst,
                 ),
@@ -535,7 +529,6 @@ async def run_sharded_service(
     port: int = 0,
     decay: float = 1.0,
     max_edges: int | None = None,
-    persist_every: int = 1,
     rate: float | None = None,
     burst: float | None = None,
     ready=None,
@@ -553,7 +546,6 @@ async def run_sharded_service(
         port=port,
         decay=decay,
         max_edges=max_edges,
-        persist_every=persist_every,
         rate=rate,
         burst=burst,
         telemetry=telemetry,

@@ -184,8 +184,10 @@ def export_chrome(tracer, path: str) -> None:
             "metrics": tracer.metrics.snapshot(),
         },
     }
+    # One-shot json.dumps uses the C encoder; json.dump streams through
+    # the pure-Python one.  The bytes are the same.
     with open(path, "w") as handle:
-        json.dump(document, handle)
+        handle.write(json.dumps(document))
 
 
 def export(tracer, path: str, format: str = "jsonl") -> None:
